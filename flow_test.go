@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/genbench"
 )
 
 func parseTestdata(t *testing.T, name string) *Design {
@@ -307,5 +309,44 @@ func TestParseFlowErrorsAtFacade(t *testing.T) {
 	if _, err := ParseFlow("optexpr"); err == nil ||
 		!strings.Contains(err.Error(), "unknown pass") {
 		t.Errorf("unknown pass error: %v", err)
+	}
+}
+
+// TestMacChainCompileDeterministic compiles the mac_chain datapath case
+// twice with flow full: the run-report counters and the netlist bytes
+// must repeat exactly (the e-graph's class and node counts follow the
+// cell order TopoSort hands it).
+func TestMacChainCompileDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two datapath compiles")
+	}
+	flow, err := NamedFlow("full")
+	if err != nil {
+		t.Fatal(err)
+	}
+	compile := func() (map[string]int, []byte) {
+		m := genbench.Generate(genbench.DatapathRecipes()[0], 0.05)
+		rep, err := flow.Run(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := NewDesign()
+		d.AddModule(m)
+		var buf bytes.Buffer
+		if err := WriteJSON(&buf, d); err != nil {
+			t.Fatal(err)
+		}
+		return rep.Counters(), buf.Bytes()
+	}
+	c1, j1 := compile()
+	c2, j2 := compile()
+	if !reflect.DeepEqual(c1, c2) {
+		t.Errorf("counters differ between runs:\n%v\n%v", c1, c2)
+	}
+	if c1["egraph_classes"] == 0 {
+		t.Errorf("opt_egraph did not run: %v", c1)
+	}
+	if !bytes.Equal(j1, j2) {
+		t.Error("netlists differ between runs")
 	}
 }

@@ -1,11 +1,13 @@
 package rtlil
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"io"
-	"sort"
+	"hash"
+	"slices"
+	"strconv"
+	"strings"
 )
 
 // Canonical content hashing. The serving layer keys its result cache by
@@ -15,101 +17,199 @@ import (
 // or connection statement order hash identically. Anything that changes
 // semantics — names, widths, port directions and positions, cell types,
 // parameters, connectivity — changes the hash.
+//
+// The hashed byte stream is line-oriented text; every name is quoted
+// (Go syntax, strconv.Quote) so separators cannot be forged by crafted
+// identifiers:
+//
+//	module "m"
+//	attr "k" "v"                          (sorted by key)
+//	wire "a" 4 true false 1                (sorted by name: width, in, out, port id)
+//	cell "c" "$and"                        (sorted by name)
+//	param "WIDTH" 4                        (sorted by key)
+//	port "A" "a"[0] "a"[1] '1              (sorted by port; bits LSB first)
+//	conn "y"[0] = "t"[0]                   (the set of connections, sorted lines)
+//
+// Constants render as '0, '1, 'x and 'z.
 
 // CanonicalHash returns the canonical content hash of the module as a
 // lowercase hex SHA-256 string.
 func CanonicalHash(m *Module) string {
-	h := sha256.New()
-	writeModule(h, m)
-	return hex.EncodeToString(h.Sum(nil))
+	c := newCanonWriter()
+	c.module(m)
+	return c.sum()
 }
 
 // CanonicalHashDesign returns the canonical content hash of the whole
 // design: the module serializations combined in sorted name order.
 func CanonicalHashDesign(d *Design) string {
-	mods := append([]*Module(nil), d.Modules()...)
-	sort.Slice(mods, func(i, j int) bool { return mods[i].Name < mods[j].Name })
-	h := sha256.New()
+	mods := slices.Clone(d.Modules())
+	slices.SortFunc(mods, func(a, b *Module) int { return strings.Compare(a.Name, b.Name) })
+	c := newCanonWriter()
 	for _, m := range mods {
-		writeModule(h, m)
+		c.module(m)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return c.sum()
 }
 
-// writeModule streams the canonical serialization of one module. Every
-// name is written with %q so separators cannot be forged by crafted
-// identifiers.
-func writeModule(w io.Writer, m *Module) {
-	fmt.Fprintf(w, "module %q\n", m.Name)
-	writeAttrs(w, m.Attrs)
+// canonFlush is the buffered byte count at which the canonical writer
+// hands its buffer to the hash.
+const canonFlush = 32 << 10
 
-	wires := append([]*Wire(nil), m.Wires()...)
-	sort.Slice(wires, func(i, j int) bool { return wires[i].Name < wires[j].Name })
-	for _, wi := range wires {
-		fmt.Fprintf(w, "wire %q %d %v %v %d\n",
-			wi.Name, wi.Width, wi.PortInput, wi.PortOutput, wi.PortID)
-		writeAttrs(w, wi.Attrs)
+// canonWriter streams the canonical serialization into SHA-256 through
+// one reused buffer.
+type canonWriter struct {
+	h   hash.Hash
+	buf []byte
+	// lines holds the rendered connection lines of the current module;
+	// spans indexes them for sorting.
+	lines []byte
+	spans [][2]int
+	// keys is scratch for one map's sorted keys.
+	keys []string
+	// last caches the quoted name of the most recently rendered wire:
+	// consecutive bits of a signal usually share their wire.
+	last       *Wire
+	lastQuoted []byte
+}
+
+func newCanonWriter() *canonWriter {
+	return &canonWriter{h: sha256.New(), buf: make([]byte, 0, canonFlush+4<<10)}
+}
+
+func (c *canonWriter) sum() string {
+	c.flush()
+	return hex.EncodeToString(c.h.Sum(nil))
+}
+
+func (c *canonWriter) flush() {
+	c.h.Write(c.buf)
+	c.buf = c.buf[:0]
+}
+
+// line ends one line, flushing the buffer once it is large enough.
+func (c *canonWriter) line() {
+	c.buf = append(c.buf, '\n')
+	if len(c.buf) >= canonFlush {
+		c.flush()
+	}
+}
+
+func (c *canonWriter) module(m *Module) {
+	c.last = nil
+	c.buf = append(c.buf, "module "...)
+	c.buf = strconv.AppendQuote(c.buf, m.Name)
+	c.line()
+	c.attrs(m.Attrs)
+
+	wires := slices.Clone(m.Wires())
+	slices.SortFunc(wires, func(a, b *Wire) int { return strings.Compare(a.Name, b.Name) })
+	for _, w := range wires {
+		c.buf = append(c.buf, "wire "...)
+		c.buf = strconv.AppendQuote(c.buf, w.Name)
+		c.buf = append(c.buf, ' ')
+		c.buf = strconv.AppendInt(c.buf, int64(w.Width), 10)
+		c.buf = append(c.buf, ' ')
+		c.buf = strconv.AppendBool(c.buf, w.PortInput)
+		c.buf = append(c.buf, ' ')
+		c.buf = strconv.AppendBool(c.buf, w.PortOutput)
+		c.buf = append(c.buf, ' ')
+		c.buf = strconv.AppendInt(c.buf, int64(w.PortID), 10)
+		c.line()
+		c.attrs(w.Attrs)
 	}
 
-	cells := append([]*Cell(nil), m.Cells()...)
-	sort.Slice(cells, func(i, j int) bool { return cells[i].Name < cells[j].Name })
-	for _, c := range cells {
-		fmt.Fprintf(w, "cell %q %q\n", c.Name, c.Type)
-		for _, k := range sortedKeys(c.Params) {
-			fmt.Fprintf(w, "param %q %d\n", k, c.Params[k])
+	cells := slices.Clone(m.Cells())
+	slices.SortFunc(cells, func(a, b *Cell) int { return strings.Compare(a.Name, b.Name) })
+	for _, cl := range cells {
+		c.buf = append(c.buf, "cell "...)
+		c.buf = strconv.AppendQuote(c.buf, cl.Name)
+		c.buf = append(c.buf, ' ')
+		c.buf = strconv.AppendQuote(c.buf, string(cl.Type))
+		c.line()
+		c.keys = appendSortedKeys(c.keys[:0], cl.Params)
+		for _, k := range c.keys {
+			c.buf = append(c.buf, "param "...)
+			c.buf = strconv.AppendQuote(c.buf, k)
+			c.buf = append(c.buf, ' ')
+			c.buf = strconv.AppendInt(c.buf, int64(cl.Params[k]), 10)
+			c.line()
 		}
-		ports := make([]string, 0, len(c.Conn))
-		for k := range c.Conn {
-			ports = append(ports, k)
+		c.keys = appendSortedKeys(c.keys[:0], cl.Conn)
+		for _, k := range c.keys {
+			c.buf = append(c.buf, "port "...)
+			c.buf = strconv.AppendQuote(c.buf, k)
+			c.buf = append(c.buf, ' ')
+			c.buf = c.appendSig(c.buf, cl.Conn[k])
+			c.line()
 		}
-		sort.Strings(ports)
-		for _, k := range ports {
-			fmt.Fprintf(w, "port %q %s\n", k, sigString(c.Conn[k]))
-		}
-		writeAttrs(w, c.Attrs)
+		c.attrs(cl.Attrs)
 	}
 
 	// Module-level connections are a set: the statement order carries no
 	// semantics, so sort the rendered lines.
-	lines := make([]string, len(m.Conns))
-	for i, cn := range m.Conns {
-		lines[i] = fmt.Sprintf("conn %s = %s\n", sigString(cn.LHS), sigString(cn.RHS))
+	c.lines, c.spans = c.lines[:0], c.spans[:0]
+	for _, cn := range m.Conns {
+		lo := len(c.lines)
+		c.lines = append(c.lines, "conn "...)
+		c.lines = c.appendSig(c.lines, cn.LHS)
+		c.lines = append(c.lines, " = "...)
+		c.lines = c.appendSig(c.lines, cn.RHS)
+		c.lines = append(c.lines, '\n')
+		c.spans = append(c.spans, [2]int{lo, len(c.lines)})
 	}
-	sort.Strings(lines)
-	for _, l := range lines {
-		io.WriteString(w, l)
+	slices.SortFunc(c.spans, func(a, b [2]int) int {
+		return bytes.Compare(c.lines[a[0]:a[1]], c.lines[b[0]:b[1]])
+	})
+	for _, sp := range c.spans {
+		c.buf = append(c.buf, c.lines[sp[0]:sp[1]]...)
+		if len(c.buf) >= canonFlush {
+			c.flush()
+		}
 	}
 }
 
-func writeAttrs(w io.Writer, attrs map[string]string) {
-	for _, k := range sortedKeys(attrs) {
-		fmt.Fprintf(w, "attr %q %q\n", k, attrs[k])
+func (c *canonWriter) attrs(attrs map[string]string) {
+	c.keys = appendSortedKeys(c.keys[:0], attrs)
+	for _, k := range c.keys {
+		c.buf = append(c.buf, "attr "...)
+		c.buf = strconv.AppendQuote(c.buf, k)
+		c.buf = append(c.buf, ' ')
+		c.buf = strconv.AppendQuote(c.buf, attrs[k])
+		c.line()
 	}
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
+// appendSortedKeys appends the map's keys to dst in sorted order.
+func appendSortedKeys[V any](dst []string, m map[string]V) []string {
+	lo := len(dst)
 	for k := range m {
-		keys = append(keys, k)
+		dst = append(dst, k)
 	}
-	sort.Strings(keys)
-	return keys
+	slices.Sort(dst[lo:])
+	return dst
 }
 
-// sigString renders a signal as a canonical token list, LSB first:
-// constants as '0'/'1'/'x'/'z', wire bits as name[offset].
-func sigString(s SigSpec) string {
-	buf := make([]byte, 0, 16*len(s))
+// appendSig renders a signal as its canonical token list, LSB first:
+// constants as '0/'1/'x/'z, wire bits as "name"[offset].
+func (c *canonWriter) appendSig(dst []byte, s SigSpec) []byte {
 	for i, b := range s {
 		if i > 0 {
-			buf = append(buf, ' ')
+			dst = append(dst, ' ')
 		}
 		if b.IsConst() {
-			buf = append(buf, '\'')
-			buf = append(buf, b.Const.String()...)
-		} else {
-			buf = append(buf, fmt.Sprintf("%q[%d]", b.Wire.Name, b.Offset)...)
+			dst = append(dst, '\'')
+			dst = append(dst, b.Const.String()...)
+			continue
 		}
+		if b.Wire != c.last {
+			c.last = b.Wire
+			c.lastQuoted = strconv.AppendQuote(c.lastQuoted[:0], b.Wire.Name)
+		}
+		dst = append(dst, c.lastQuoted...)
+		dst = append(dst, '[')
+		dst = strconv.AppendInt(dst, int64(b.Offset), 10)
+		dst = append(dst, ']')
 	}
-	return string(buf)
+	return dst
 }

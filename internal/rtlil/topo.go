@@ -1,12 +1,17 @@
 package rtlil
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // TopoSort returns the module's cells in a topological order of the
 // combinational dependency graph: every cell appears after the cells
 // driving its inputs. Sequential cells ($dff) break dependencies — their
 // outputs are treated as graph sources — so any cycle reported is a true
-// combinational loop.
+// combinational loop. The order is a function of the module alone:
+// every traversal runs in insertion order and over input ports in name
+// order, never in map order.
 func TopoSort(m *Module) ([]*Cell, error) {
 	ix := NewIndex(m)
 	const (
@@ -27,11 +32,16 @@ func TopoSort(m *Module) ([]*Cell, error) {
 		}
 		color[c] = gray
 		if !IsSequential(c.Type) {
-			for port, sig := range c.Conn {
-				if !c.IsInputPort(port) {
-					continue
+			var local [8]string
+			ports := local[:0]
+			for port := range c.Conn {
+				if c.IsInputPort(port) {
+					ports = append(ports, port)
 				}
-				for _, b := range ix.Map(sig) {
+			}
+			slices.Sort(ports)
+			for _, port := range ports {
+				for _, b := range ix.Map(c.Conn[port]) {
 					if b.IsConst() {
 						continue
 					}

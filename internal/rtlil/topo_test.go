@@ -1,6 +1,9 @@
 package rtlil
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestTopoSortOrders(t *testing.T) {
 	m := NewModule("m")
@@ -77,5 +80,44 @@ func TestTopoSortThroughConnection(t *testing.T) {
 	}
 	if pos[g1] > pos[g2] {
 		t.Error("dependency through connection not honored")
+	}
+}
+
+// TestTopoSortDeterministic pins the order when a cell's drivers are
+// inserted after it: the DFS must descend into its input ports in name
+// order, not in map order, so every call returns the same sequence.
+func TestTopoSortDeterministic(t *testing.T) {
+	m := NewModule("m")
+	in := m.AddInput("in", 1).Bits()
+	y := m.AddOutput("y", 1).Bits()
+	var srcs [6]SigSpec
+	for i := range srcs {
+		srcs[i] = m.NewWire(1).Bits()
+	}
+	// A 6-input sink inserted before its drivers; driver d<i> feeds
+	// input port P<i>.
+	sink := m.AddCell("sink", CellPmux)
+	sink.Params["WIDTH"] = 1
+	sink.Params["S_WIDTH"] = 4
+	sink.SetPort("A", srcs[0])
+	sink.SetPort("B", Concat(srcs[1], srcs[2], srcs[3], srcs[4]))
+	sink.SetPort("S", Concat(srcs[5], in, in, in))
+	sink.SetPort("Y", y)
+	for i := len(srcs) - 1; i >= 0; i-- {
+		m.AddUnary(CellNot, fmt.Sprintf("d%d", i), in, srcs[i])
+	}
+	want := []string{"d0", "d1", "d2", "d3", "d4", "d5", "sink"} // A, B (LSB first), S
+	for run := 0; run < 50; run++ {
+		order, err := TopoSort(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, c := range order {
+			got = append(got, c.Name)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("run %d: order %v, want %v", run, got, want)
+		}
 	}
 }

@@ -78,10 +78,12 @@ func (s *Server) serveDesign(pr *request) (*api.OptimizeResponse, error) {
 		pr.design.ReplaceModule(outs[i].mod)
 		reports[outs[i].name] = outs[i].report
 	}
+	encoding := time.Now()
 	var buf bytes.Buffer
 	if err := smartly.WriteJSON(&buf, pr.design); err != nil {
 		return nil, err
 	}
+	s.metrics.stage(stageEncode, encoding)
 	resp := &api.OptimizeResponse{
 		Key:           pr.key.ID(),
 		Cache:         aggregateStatus(pr.req.NoCache, stats, len(mods)),
@@ -123,11 +125,13 @@ func aggregateStatus(noCache bool, stats api.ModuleCacheStats, modules int) stri
 func (s *Server) serveModule(pr *request, i, perModule int) moduleOut {
 	m := pr.design.Modules()[i]
 	out := moduleOut{name: m.Name}
+	hashing := time.Now()
 	key := cache.ModuleKey{
 		Module:  smartly.Hash(m),
 		Flow:    pr.key.Flow,
 		Options: pr.key.Options,
 	}
+	s.metrics.stage(stageHash, hashing)
 	compute := func() ([]byte, error) {
 		return s.computeGuarded(func() ([]byte, error) { return s.computeModule(pr, m, perModule) })
 	}

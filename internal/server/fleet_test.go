@@ -42,6 +42,25 @@ func postAsync(t *testing.T, url string, req api.OptimizeRequest) api.Job {
 	return job
 }
 
+// waitJob blocks until the job with the given id reaches a terminal
+// state and returns it. It waits on the job itself rather than polling
+// the API, so a retention policy that collects the job right after it
+// finishes cannot hide the outcome. The job is registered before the
+// submit response is written, so it exists when this is called.
+func waitJob(t *testing.T, s *Server, id string) api.Job {
+	t.Helper()
+	j := s.jobs.get(id)
+	if j == nil {
+		t.Fatalf("job %s unknown", id)
+	}
+	select {
+	case <-j.done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("job %s not finished after 30s", id)
+	}
+	return s.jobs.snapshot(j)
+}
+
 // pollJob polls one job until it reaches a terminal state.
 func pollJob(t *testing.T, url, id string) api.Job {
 	t.Helper()
@@ -121,12 +140,17 @@ func TestManyAsyncJobsRehydrateFromStore(t *testing.T) {
 // with a nil result.
 func TestEvictedResultsDistinctStateWithoutStore(t *testing.T) {
 	designJSON := testDesignJSON(t, "../../testdata/fig3.v")
-	_, ts := newTestServer(t, Config{Jobs: 2, QueueDepth: 64})
+	s, ts := newTestServer(t, Config{Jobs: 2, QueueDepth: 64})
 
 	const n = maxRetainedResults + 8
 	ids := make([]string, n)
 	for i := range ids {
 		ids[i] = postAsync(t, ts.URL, api.OptimizeRequest{Design: designJSON, Flow: "yosys"}).ID
+	}
+	// Let every job finish before reading any: polled oldest first, an
+	// early job read before the later ones finish is still retained.
+	for _, id := range ids {
+		waitJob(t, s, id)
 	}
 	evicted := 0
 	for _, id := range ids {
@@ -216,7 +240,7 @@ func TestClientGoneMapsTo499(t *testing.T) {
 	s.sem <- struct{}{} // occupy the only run slot
 	defer func() { <-s.sem }()
 
-	pr, err := s.validateRequest(api.OptimizeRequest{Design: designJSON, Flow: "yosys"})
+	pr, err := s.validateRequest(api.OptimizeRequest{Design: designJSON, Flow: "yosys"}, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,7 +177,9 @@ func TestGCBackgroundTicker(t *testing.T) {
 	})
 
 	job := postAsync(t, ts.URL, api.OptimizeRequest{Design: designJSON, Flow: "yosys"})
-	if j := pollJob(t, ts.URL, job.ID); j.State != api.JobDone {
+	// Not pollJob: with a 5ms TTL the GC may collect the finished job
+	// between two polls.
+	if j := waitJob(t, s, job.ID); j.State != api.JobDone {
 		t.Fatalf("job: %s (%s)", j.State, j.Error)
 	}
 	deadline := time.Now().Add(5 * time.Second)

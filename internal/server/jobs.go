@@ -256,27 +256,18 @@ func (js *jobStore) forget(id string) *job {
 	return j
 }
 
-// setState transitions a job, appends the lifecycle event, persists
-// the record (outside the store mutex; a terminal record always lands
-// before done closes), and on terminal states prunes in-memory
-// payloads of older finished jobs.
+// setState transitions a job: it persists the record (outside the
+// store mutex), counts the transition, then publishes the state and its
+// lifecycle event, and on terminal states prunes in-memory payloads of
+// older finished jobs. Persisting and counting come first so that a
+// client that sees the new state finds it durable and in /metrics.
 func (js *jobStore) setState(j *job, state, errMsg string, result *api.OptimizeResponse, request json.RawMessage) {
 	terminal := state == api.JobDone || state == api.JobFailed
-	js.mu.Lock()
-	j.state = state
-	j.errMsg = errMsg
-	j.result = result
-	if terminal {
-		j.finished = time.Now()
-	}
-	js.appendEventLocked(j, api.JobEvent{Type: api.EventState, State: state, Error: errMsg})
-	if terminal {
-		js.pruneResultsLocked()
-	}
-	js.mu.Unlock()
-	js.onTransition(state)
 	rec := jobRecord{ID: j.id, State: state, Error: errMsg, Epoch: j.epoch,
-		SubmittedAt: j.submitted, FinishedAt: j.finished}
+		SubmittedAt: j.submitted}
+	if terminal {
+		rec.FinishedAt = time.Now()
+	}
 	if result != nil {
 		if raw, err := json.Marshal(result); err == nil {
 			rec.Result = raw
@@ -289,6 +280,23 @@ func (js *jobStore) setState(j *job, state, errMsg string, result *api.OptimizeR
 		rec.Request = request
 	}
 	js.saveRecord(j, rec)
+	js.onTransition(state)
+
+	js.mu.Lock()
+	j.state = state
+	j.errMsg = errMsg
+	j.result = result
+	if terminal {
+		// Stamped at publication, not at the record write above: the
+		// retention TTL counts from when a client could first see the
+		// result.
+		j.finished = time.Now()
+	}
+	js.appendEventLocked(j, api.JobEvent{Type: api.EventState, State: state, Error: errMsg})
+	if terminal {
+		js.pruneResultsLocked()
+	}
+	js.mu.Unlock()
 	if terminal {
 		close(j.done)
 	}
@@ -426,14 +434,16 @@ func (s *Server) runJob(j *job, pr *request, request json.RawMessage, release fu
 			s.jobs.setState(j, api.JobFailed, s.runCtx.Err().Error(), nil, nil)
 			return
 		}
+		s.jobs.setState(j, api.JobRunning, "", nil, request)
+		resp, err := s.serve(pr)
 		// The async histogram observes the run span of every completed
 		// job — slot wait included, failures included: an async caller's
 		// Wait experiences the whole span either way, unlike the sync
 		// histogram where a fast rejection would pollute the latency of
-		// served responses.
-		defer func() { s.metrics.optAsync.Observe(time.Since(start)) }()
-		s.jobs.setState(j, api.JobRunning, "", nil, request)
-		resp, err := s.serve(pr)
+		// served responses. It observes before the terminal state is
+		// published, so a client that sees the job finish and scrapes at
+		// once finds the sample.
+		s.metrics.optAsync.Observe(time.Since(start))
 		if err != nil {
 			s.jobs.setState(j, api.JobFailed, err.Error(), nil, nil)
 			return
@@ -464,7 +474,7 @@ func (s *Server) recoverJobs() {
 			s.jobs.setState(j, api.JobFailed, fmt.Sprintf("recovery: damaged request record: %v", err), nil, nil)
 			continue
 		}
-		pr, err := s.validateRequest(req)
+		pr, err := s.validateRequest(req, time.Now())
 		if err != nil {
 			s.jobs.setState(j, api.JobFailed, "recovery: "+err.Error(), nil, nil)
 			continue

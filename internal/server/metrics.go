@@ -30,12 +30,16 @@ type serverMetrics struct {
 	requests metrics.Counter
 
 	// optSync observes the full latency of successful synchronous
-	// optimize requests — admission, queue wait and serve — the span a
-	// client sees minus transport. optAsync observes an async job's run
-	// span: from its background goroutine starting (queued, holding an
-	// admission slot) to its terminal state.
+	// optimize requests, from handler entry (before the body is read)
+	// to the encoded response, the span a client sees minus transport.
+	// optAsync observes an async job's run span: from its background
+	// goroutine starting (queued, holding an admission slot) to its
+	// terminal state.
 	optSync  *metrics.Histogram
 	optAsync *metrics.Histogram
+	// stages observe where an optimize request's time goes, one
+	// histogram per stage (see the stage constants).
+	stages [numStages]*metrics.Histogram
 	// queueWait observes the time an admitted request (sync or async)
 	// waited for a run slot.
 	queueWait *metrics.Histogram
@@ -50,6 +54,7 @@ const (
 	mRequests       = "smartlyd_requests_total"
 	mOptimize       = "smartlyd_optimize_seconds"
 	mQueueWait      = "smartlyd_queue_wait_seconds"
+	mStage          = "smartlyd_stage_seconds"
 	mJobTransitions = "smartlyd_job_transitions_total"
 	mJobs           = "smartlyd_jobs"
 	mJobRecords     = "smartlyd_job_records"
@@ -67,6 +72,24 @@ const (
 	mUptime         = "smartlyd_uptime_seconds"
 )
 
+// The stages of an optimize request, in order. decode reads the body
+// and parses the request and its netlist (validation included); hash
+// computes the canonical content hashes; cache looks the result up (and
+// decodes a cached payload); compute runs the flow on a miss and
+// serializes the payload; encode writes the response netlist and body.
+// Design-mode requests observe hash, cache and compute once per module
+// shard.
+const (
+	stageDecode = iota
+	stageHash
+	stageCache
+	stageCompute
+	stageEncode
+	numStages
+)
+
+var stageNames = [numStages]string{"decode", "hash", "cache", "compute", "encode"}
+
 func newServerMetrics() *serverMetrics {
 	reg := metrics.NewRegistry()
 	m := &serverMetrics{
@@ -80,7 +103,19 @@ func newServerMetrics() *serverMetrics {
 			"time admitted requests waited for a run slot", nil),
 		sse: reg.Gauge(mSSE, "currently connected events subscribers", nil),
 	}
+	for i, name := range stageNames {
+		m.stages[i] = reg.Histogram(mStage, "time optimize requests spent per stage",
+			metrics.Labels{"stage": name})
+	}
 	return m
+}
+
+// stage observes the time since start in one request stage and returns
+// the current time, so consecutive stages chain.
+func (m *serverMetrics) stage(st int, start time.Time) time.Time {
+	now := time.Now()
+	m.stages[st].Observe(now.Sub(start))
+	return now
 }
 
 // request records one served HTTP request.

@@ -173,3 +173,67 @@ func TestHealthzConsistentUnderLoad(t *testing.T) {
 		t.Errorf("sync summary implausible: %+v", h.Metrics.OptimizeSync)
 	}
 }
+
+// TestMetricsVisibleWithResult is the regression test for samples
+// recorded after their result was published: a client that polls an
+// async job to "done" (without pause) or reads a sync response and
+// scrapes /metrics at once must find the request's latency sample, its
+// terminal transition and its stage samples.
+func TestMetricsVisibleWithResult(t *testing.T) {
+	designJSON := testDesignJSON(t, "../../testdata/fig3.v")
+	_, ts := newTestServer(t, Config{
+		// The durable store makes publishing a terminal state slow
+		// (a record write), widening any window after it.
+		JobsDir: filepath.Join(t.TempDir(), "jobs"),
+	})
+
+	job := postAsync(t, ts.URL, api.OptimizeRequest{Design: designJSON, Flow: "yosys", NoCache: true})
+	for {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var j api.Job
+		err = json.NewDecoder(resp.Body).Decode(&j)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.State == api.JobDone {
+			break
+		}
+		if j.State == api.JobFailed {
+			t.Fatalf("async job failed: %s", j.Error)
+		}
+	}
+	out := scrapeMetrics(t, ts.URL)
+	for _, want := range []string{
+		`smartlyd_optimize_seconds_count{kind="async"} 1`,
+		`smartlyd_job_transitions_total{state="done"} 1`,
+		`smartlyd_stage_seconds_count{stage="compute"} 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("after the job finished: /metrics missing %q", want)
+		}
+	}
+
+	if _, code := postOptimize(t, ts.URL, api.OptimizeRequest{Design: designJSON, Flow: "yosys"}); code != http.StatusOK {
+		t.Fatalf("sync request: %d", code)
+	}
+	out = scrapeMetrics(t, ts.URL)
+	for _, want := range []string{
+		`smartlyd_optimize_seconds_count{kind="sync"} 1`,
+		`smartlyd_stage_seconds_count{stage="decode"} 2`,
+		`smartlyd_stage_seconds_count{stage="hash"} 2`,
+		`smartlyd_stage_seconds_count{stage="cache"} 2`,
+		`smartlyd_stage_seconds_count{stage="compute"} 2`,
+		`smartlyd_stage_seconds_count{stage="encode"} 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("after the sync response: /metrics missing %q", want)
+		}
+	}
+	if t.Failed() {
+		t.Logf("full scrape:\n%s", out)
+	}
+}

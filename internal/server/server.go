@@ -194,14 +194,25 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// writeJSON writes one JSON response body. An Encode failure at this
-// point is almost always the client hanging up mid-response; the status
-// line is already written, so all that remains is to log it instead of
-// silently swallowing it.
+// writeJSON writes one JSON response body. The API types always
+// marshal; a failure is a programming error, answered with a 500.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		s.logf("encoding response (status %d): %v", code, err)
+		code, body = http.StatusInternalServerError, []byte(`{"error":"encoding response"}`)
+	}
+	s.writeBody(w, code, body)
+}
+
+// writeBody writes an encoded JSON response body and its trailing
+// newline. A write failure at this point is almost always the client
+// hanging up mid-response; the status line is already written, so all
+// that remains is to log it instead of silently swallowing it.
+func (s *Server) writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	if _, err := w.Write(append(body, '\n')); err != nil {
 		s.logf("writing response (status %d): %v", code, err)
 	}
 }
@@ -228,20 +239,22 @@ type request struct {
 	progress func(api.JobEvent)
 }
 
-// parseRequest decodes and validates an optimize request body.
-func (s *Server) parseRequest(r *http.Request) (*request, error) {
+// parseRequest decodes and validates an optimize request body; start
+// is when the handler began (the decode stage starts there).
+func (s *Server) parseRequest(r *http.Request, start time.Time) (*request, error) {
 	var req api.OptimizeRequest
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes))
 	if err := dec.Decode(&req); err != nil {
 		return nil, fmt.Errorf("decoding request body: %w", err)
 	}
-	return s.validateRequest(req)
+	return s.validateRequest(req, start)
 }
 
 // validateRequest validates a decoded optimize request. Split from
 // parseRequest so job recovery can re-validate persisted request
-// records through the same path.
-func (s *Server) validateRequest(req api.OptimizeRequest) (*request, error) {
+// records through the same path. It observes the decode stage from
+// start and the hash stage.
+func (s *Server) validateRequest(req api.OptimizeRequest, start time.Time) (*request, error) {
 	if len(req.Design) == 0 || string(req.Design) == "null" {
 		return nil, fmt.Errorf("request has no design")
 	}
@@ -280,17 +293,14 @@ func (s *Server) validateRequest(req api.OptimizeRequest) (*request, error) {
 			return nil, fmt.Errorf("invalid design: module %s: %w", m.Name, err)
 		}
 	}
-	return &request{
-		req:    req,
-		design: design,
-		flow:   flow,
-		key: cache.Key{
-			Netlist: smartly.HashDesign(design),
-			Flow:    flow.Canonical(),
-			Options: optionsKey(req),
-		},
-		mode: mode,
-	}, nil
+	hashed := s.metrics.stage(stageDecode, start)
+	key := cache.Key{
+		Netlist: smartly.HashDesign(design),
+		Flow:    flow.Canonical(),
+		Options: optionsKey(req),
+	}
+	s.metrics.stage(stageHash, hashed)
+	return &request{req: req, design: design, flow: flow, key: key, mode: mode}, nil
 }
 
 // decodeDesign parses a request netlist, converting rtlil's
@@ -318,7 +328,8 @@ func optionsKey(req api.OptimizeRequest) string {
 }
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	pr, err := s.parseRequest(r)
+	start := time.Now()
+	pr, err := s.parseRequest(r, start)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -338,7 +349,20 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, errStatus(err), "%v", err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	encoding := time.Now()
+	body, err := json.Marshal(resp)
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
+	// Observe before the body goes out: a client that reads its response
+	// and scrapes /metrics at once must find its own sample. Only
+	// successes are observed; folding 503 rejections or mid-run failures
+	// into the distribution would drag the percentiles below what a
+	// served request experiences.
+	s.metrics.stage(stageEncode, encoding)
+	s.metrics.optSync.Observe(time.Since(start))
+	s.writeBody(w, http.StatusOK, body)
 }
 
 // errServerBusy rejects admissions beyond the queue depth (or during a
@@ -402,8 +426,8 @@ func (s *Server) admit() (func(), error) {
 	}, nil
 }
 
-// execute runs one synchronous request end to end: admission, run-slot
-// wait, then serve. waitCtx aborts waiting in the queue (client gone);
+// execute runs one synchronous request: admission, run-slot wait, then
+// serve. waitCtx aborts waiting in the queue (client gone);
 // the computation itself runs under the server's run context so that a
 // result shared via the cache does not die with one impatient client.
 func (s *Server) execute(waitCtx context.Context, pr *request) (*api.OptimizeResponse, error) {
@@ -426,14 +450,7 @@ func (s *Server) execute(waitCtx context.Context, pr *request) (*api.OptimizeRes
 	case <-s.runCtx.Done():
 		return nil, s.runCtx.Err()
 	}
-	resp, err := s.serve(pr)
-	if err == nil {
-		// Only successes: folding 503 rejections or mid-run failures into
-		// the latency distribution would drag the percentiles below what
-		// a successful request actually experiences.
-		s.metrics.optSync.Observe(time.Since(start))
-	}
-	return resp, err
+	return s.serve(pr)
 }
 
 // serve produces the response for a request that holds a run slot:
@@ -478,15 +495,28 @@ func (s *Server) serve(pr *request) (*api.OptimizeResponse, error) {
 // recomputed once — a slow miss, never a failed request. The returned
 // status is "bypass", "hit" or "miss".
 func (s *Server) serveCached(noCache bool, id string, compute func() ([]byte, error), decode func([]byte) error) (string, error) {
-	if noCache {
+	// The cache stage is the whole resolution minus this request's own
+	// computation (a coalesced wait on another's counts as cache time).
+	start := time.Now()
+	var computed time.Duration
+	run := func() ([]byte, error) {
+		t0 := time.Now()
 		raw, err := compute()
+		d := time.Since(t0)
+		computed += d
+		s.metrics.stages[stageCompute].Observe(d)
+		return raw, err
+	}
+	defer func() { s.metrics.stages[stageCache].Observe(time.Since(start) - computed) }()
+	if noCache {
+		raw, err := run()
 		if err == nil {
 			err = decode(raw)
 		}
 		return "bypass", err
 	}
 	for attempt := 0; ; attempt++ {
-		raw, hit, err := s.cache.Do(id, compute)
+		raw, hit, err := s.cache.Do(id, run)
 		if err != nil {
 			return "", err
 		}
